@@ -11,6 +11,11 @@ cargo fmt --check
 echo '== cargo build --release --offline'
 cargo build --release --offline
 
+echo '== cargo build --release --offline (perfbench)'
+# the benchmark is its own workspace; building it here means a crate API
+# change that breaks it fails CI, not the next benchmark run
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo '== cargo test -q --offline'
 cargo test -q --offline
 

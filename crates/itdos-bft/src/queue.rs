@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use itdos_crypto::hash::Digest;
 
 use crate::state::StateMachine;
-use crate::wire::{Reader, WireError, Writer};
+use crate::wire::{Bft, Reader, WireError, Writer};
 
 /// Identifies a replication domain element within its queue group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -47,53 +47,13 @@ pub enum QueueOp {
     Join(ElementId),
 }
 
-impl QueueOp {
-    /// Encodes the operation.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            QueueOp::Deliver(payload) => {
-                w.u8(0);
-                w.bytes(payload);
-            }
-            QueueOp::Ack { element, up_to } => {
-                w.u8(1);
-                w.u32(element.0);
-                w.u64(*up_to);
-            }
-            QueueOp::Expel(e) => {
-                w.u8(2);
-                w.u32(e.0);
-            }
-            QueueOp::Join(e) => {
-                w.u8(3);
-                w.u32(e.0);
-            }
-        }
-        w.finish()
-    }
-
-    /// Decodes an operation.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError`] on malformed bytes.
-    pub fn decode(bytes: &[u8]) -> Result<QueueOp, WireError> {
-        let mut r = Reader::new(bytes);
-        let op = match r.u8()? {
-            0 => QueueOp::Deliver(r.bytes()?.to_vec()),
-            1 => QueueOp::Ack {
-                element: ElementId(r.u32()?),
-                up_to: r.u64()?,
-            },
-            2 => QueueOp::Expel(ElementId(r.u32()?)),
-            3 => QueueOp::Join(ElementId(r.u32()?)),
-            _ => return Err(WireError),
-        };
-        r.expect_end()?;
-        Ok(op)
-    }
-}
+crate::wire!(Bft: enum QueueOp {
+    0 => Deliver(payload),
+    1 => Ack { element, up_to },
+    2 => Expel(e),
+    3 => Join(e),
+});
+crate::wire!(Bft: api QueueOp);
 
 /// One queued message with its absolute index.
 #[derive(Debug, Clone, PartialEq, Eq)]

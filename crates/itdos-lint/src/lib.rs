@@ -22,9 +22,10 @@
 //!   narrow-cast, or do unchecked arithmetic on attacker-controlled lengths;
 //!   a token-level taint pass tracks decode inputs through bindings
 //!   ([`hostile_arith::check_hostile_arith`]).
-//! * **L6 wire symmetry** — every wire type's encode/decode pair stays
-//!   field-symmetric, rejects unknown enum tags, and is registered in a
-//!   round-trip test ([`wire_symmetry::check_wire_symmetry`]).
+//! * **L6 wire symmetry** — compact-wire types go through the one
+//!   declarative codec (no hand-written encode/decode pair outside its
+//!   leaf modules), and every remaining hand-written tag match rejects
+//!   unknown tags ([`wire_symmetry::check_wire_symmetry`]).
 //! * **L7 lock order** — nested lock acquisitions follow one global order
 //!   and no lock is held across a send/recv call
 //!   ([`lock_order::scan_file`]).
@@ -52,7 +53,6 @@ pub mod wire_symmetry;
 
 use findings::{Finding, Rule};
 use source::SourceFile;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Result of linting a workspace.
@@ -118,11 +118,8 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
         findings.extend(manifest::check_manifest(&rel(root, path), &text, &ws_paths));
     }
 
-    // every .rs file, keyed by workspace-relative path; the crate name is
-    // empty for files outside a crate's src/ tree (integration tests stay
-    // visible for L6 round-trip lookups but out of scope for per-crate
-    // rules and pair discovery)
-    let mut files: BTreeMap<String, (String, SourceFile)> = BTreeMap::new();
+    // integration tests and examples (outside a crate's src/ tree) are out
+    // of scope for the per-crate rules
     let mut lock_edges = Vec::new();
 
     for path in &sources {
@@ -150,14 +147,11 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Report> {
             let (lock_findings, edges) = lock_order::scan_file(&rp, &file);
             findings.extend(lock_findings);
             lock_edges.extend(edges);
+            findings.extend(wire_symmetry::check_wire_symmetry(&crate_name, &rp, &file));
         }
-
-        let key = if in_src { crate_name } else { String::new() };
-        files.insert(rp, (key, file));
     }
 
     findings.extend(lock_order::order_findings(&lock_edges));
-    findings.extend(wire_symmetry::check_wire_symmetry(&files));
 
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     findings.dedup();

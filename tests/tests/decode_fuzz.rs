@@ -4,7 +4,8 @@
 //! `properties.rs`; here the same three attack modes — random bytes,
 //! truncation at every boundary, and bit flips inside valid encodings —
 //! hit the protocol decoders themselves: `core::wire` (CoreMsg, SmiopFrame,
-//! GmOp, directives, fault proofs) and the GIOP/CDR unmarshallers. Every
+//! GmOp, directives, fault proofs, healing commands), the BFT queue
+//! operations, and the GIOP/CDR unmarshallers. Every
 //! case must return a typed error or a value; a panic is an availability
 //! attack a single hostile peer could mount on demand (L5's dynamic twin).
 //!
@@ -14,9 +15,10 @@
 
 use itdos::wire::{
     decode_directives, decode_proof, encode_directives, encode_proof, AdmitNoticeMsg,
-    ConnectionMeta, CoreMsg, DirectReplyMsg, Directive, FrameKind, GmOp, KeyShareMsg, NoticeMsg,
-    SmiopFrame,
+    ConnectionMeta, CoreMsg, DirectReplyMsg, Directive, FrameKind, GmOp, HealCmd, KeyShareMsg,
+    NoticeMsg, SmiopFrame,
 };
+use itdos_bft::queue::{ElementId, QueueOp};
 use itdos_crypto::sign::{Signature, VerifyingKey};
 use itdos_giop::cdr::{Decoder, Encoder, Endianness};
 use itdos_giop::giop::{decode_message, encode_message, GiopMessage, RequestMessage};
@@ -130,6 +132,24 @@ fn core_corpus() -> Vec<Vec<u8>> {
             element: SenderId(2),
         },
     ]));
+    // external-injection and BFT-operation payloads
+    corpus.push(
+        HealCmd::Accuse {
+            accused: SenderId(3),
+        }
+        .encode(),
+    );
+    corpus.push(HealCmd::Retire.encode());
+    corpus.push(QueueOp::Deliver(vec![1, 2, 3, 4]).encode());
+    corpus.push(
+        QueueOp::Ack {
+            element: ElementId(2),
+            up_to: 17,
+        }
+        .encode(),
+    );
+    corpus.push(QueueOp::Expel(ElementId(1)).encode());
+    corpus.push(QueueOp::Join(ElementId(4)).encode());
     corpus
 }
 
@@ -140,6 +160,9 @@ fn decode_all_core(bytes: &[u8]) {
     let _ = GmOp::decode(bytes);
     let _ = decode_proof(bytes);
     let _ = decode_directives(bytes);
+    // decoded at the top of `ServerElement::on_message` (external injection)
+    let _ = HealCmd::decode(bytes);
+    let _ = QueueOp::decode(bytes);
 }
 
 /// Core wire decoders are total on random bytes.

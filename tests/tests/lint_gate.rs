@@ -1,7 +1,7 @@
 //! Runs `itdos-lint` over the live workspace as part of the test suite,
 //! so an invariant regression (a new registry dependency, a clock read in
 //! replica code, an unwrap in a message handler, a variable-time MAC
-//! compare, an unchecked hostile length, an asymmetric wire pair, a lock
+//! compare, an unchecked hostile length, a hand-written wire codec, a lock
 //! inversion) fails `cargo test` — not just the standalone CLI.
 //!
 //! Beyond the live-tree run, each of the dataflow passes (L5 hostile
@@ -10,9 +10,7 @@
 //! a pass fails this gate even while the (clean) live tree keeps passing.
 
 use itdos_lint::source::SourceFile;
-use itdos_lint::wire_symmetry::WirePair;
 use itdos_lint::{hostile_arith, lock_order, wire_symmetry};
-use std::collections::BTreeMap;
 use std::path::Path;
 
 fn workspace_root() -> &'static Path {
@@ -109,72 +107,63 @@ fn l5_fixture_checked_length_arithmetic_is_clean() {
 
 // ---- L6 wire symmetry -----------------------------------------------------
 
-const L6_SYMMETRIC: &str = "\
+fn l6_run(path: &str, krate: &str, src: &str) -> Vec<itdos_lint::findings::Finding> {
+    wire_symmetry::check_wire_symmetry(krate, path, &SourceFile::scan(src))
+}
+
+/// Positive: a hand-written encode/decode pair in a wire crate outside
+/// the codec fires, and so does a tag match without a catch-all arm.
+#[test]
+fn l6_fixture_hand_written_pair_and_open_tag_match_fire() {
+    let pair = "\
 impl Frame {
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        match self {
-            Frame::A(x) => { w.u8(1); w.u64(*x); }
-            Frame::B(b) => { w.u8(2); w.bytes(b); }
-        }
+        w.u64(self.0);
         w.finish()
     }
     pub fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
         let mut r = Reader::new(bytes);
-        Ok(match r.u8()? {
-            1 => Frame::A(r.u64()?),
-            2 => Frame::B(r.bytes()?.to_vec()),
-            _ => return Err(WireError),
-        })
+        Ok(Frame(r.u64()?))
     }
 }
 ";
+    let findings = l6_run("crates/core/src/frame.rs", "itdos", pair);
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    assert!(findings[0].message.contains("hand-written"));
 
-fn l6_fixture(src: &str) -> BTreeMap<String, (String, SourceFile)> {
-    let mut files = BTreeMap::new();
-    files.insert(
-        "crates/x/src/wire.rs".to_string(),
-        ("itdos-bft".to_string(), SourceFile::scan(src)),
-    );
-    files.insert(
-        "crates/x/src/tests.rs".to_string(),
-        (
-            "itdos-bft".to_string(),
-            SourceFile::scan(
-                "fn frame_round_trips() { assert_eq!(Frame::decode(&f.encode()).unwrap(), f); }",
-            ),
-        ),
-    );
-    files
+    let open_match = "\
+fn kind(r: &mut Reader<'_>) -> Result<Kind, WireError> {
+    Ok(match r.u8()? {
+        0 => Kind::Request,
+        1 => Kind::Reply,
+    })
 }
-
-const L6_PAIR: WirePair = WirePair {
-    name: "Frame",
-    file: "crates/x/src/wire.rs",
-    encode_fn: "encode",
-    encode_impl: Some("Frame"),
-    decode_fn: "decode",
-    decode_impl: Some("Frame"),
-    counts: true,
-    roundtrip: ("crates/x/src/tests.rs", "frame_round_trips"),
-};
-
-/// Positive: a decode that drops a field the encode writes is flagged.
-#[test]
-fn l6_fixture_dropped_field_fires() {
-    let bad = L6_SYMMETRIC.replace("1 => Frame::A(r.u64()?),", "1 => Frame::A(0),");
-    let findings = wire_symmetry::check_with_manifest(&[L6_PAIR], &l6_fixture(&bad));
+";
+    let findings = l6_run("crates/itdos-bft/src/wire.rs", "itdos-bft", open_match);
     assert!(
-        findings.iter().any(|f| f.message.contains("u64")),
+        findings.iter().any(|f| f.message.contains("catch-all")),
         "{findings:#?}"
     );
 }
 
-/// Negative: the field- and tag-symmetric pair with a registered
-/// round-trip test is clean.
+/// Negative: a type declared through the codec — symmetric by
+/// construction — with the usual inherent frame API and a delegating list
+/// pair is clean.
 #[test]
 fn l6_fixture_symmetric_pair_is_clean() {
-    let findings = wire_symmetry::check_with_manifest(&[L6_PAIR], &l6_fixture(L6_SYMMETRIC));
+    let declared = "\
+wire!(Core: struct Meta { connection, epoch, recipients: list(MAX_ITEMS, MAX_ITEMS) });
+wire!(Core: enum Kind { 0 => Request, 1 => Reply(meta) });
+wire!(Core: api Kind);
+pub fn encode_kinds(kinds: &[Kind]) -> Vec<u8> {
+    wire::encode_list::<Core, _>(kinds)
+}
+pub fn decode_kinds(bytes: &[u8]) -> Result<Vec<Kind>, WireError> {
+    wire::decode_list::<Core, _>(bytes, MAX_ITEMS, MAX_ITEMS)
+}
+";
+    let findings = l6_run("crates/core/src/frame.rs", "itdos", declared);
     assert!(findings.is_empty(), "{findings:#?}");
 }
 
