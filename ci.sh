@@ -16,6 +16,17 @@ echo '== cargo build --release --offline (perfbench)'
 # change that breaks it fails CI, not the next benchmark run
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo '== retransmit growth gate (perfbench rpc_small, traced)'
+# a back-to-back client must keep its traffic per call flat: messages
+# per call in the last tenth of the run over the first tenth. The count
+# is deterministic for a seed; one timer per channel keeps it near 1.0
+growth="$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+  --workload rpc_small --seed 7 --seconds 2 --trace 1 2> /dev/null | tail -n 1 \
+  | sed -n 's/.*"simnet\.msgs_per_inv_growth": {"value": \([0-9.eE+-]*\).*/\1/p')"
+test -n "$growth" || { echo 'perfbench printed no simnet.msgs_per_inv_growth'; exit 1; }
+awk -v g="$growth" 'BEGIN { exit !(g <= 1.1) }' \
+  || { echo "simnet.msgs_per_inv_growth $growth exceeds 1.1 (retransmit storm)"; exit 1; }
+
 echo '== cargo test -q --offline'
 cargo test -q --offline
 

@@ -384,7 +384,8 @@ impl SingletonClient {
                 ],
             );
             self.send_request(ctx, meta, key, &request);
-            // re-send later if replies do not arrive (lost DirectReply copies)
+            // re-armed while the call is undecided, so `try_settle` does not
+            // quiesce with a call in flight; it sends nothing itself
             ctx.set_timer(
                 self.fabric
                     .domain(target)
@@ -795,25 +796,18 @@ impl Process for SingletonClient {
             TimerTag::Retransmit => {
                 let fabric = self.fabric.clone();
                 if let Some(outbound) = self.outbound.get_mut(&DomainId(param)) {
-                    outbound.on_retransmit_timer(ctx, &fabric);
+                    outbound.on_retransmit_timer(ctx, &fabric, timer.id);
                 }
             }
             TimerTag::ClientRetry => {
-                // the request with this id may still be undecided: re-send
+                // keep the call's timer alive while it is undecided; the
+                // BFT channel's own retransmission re-sends it
                 let undecided = self
                     .rounds
                     .iter()
                     .find(|o| o.request_id == param && !o.decided);
                 if let Some(round) = undecided {
                     let target = round.target;
-                    let request_id = round.request_id;
-                    if let Some(conn) = self.conns_by_target.get(&target) {
-                        // rebuild is unnecessary: replicas resend cached
-                        // replies when the same op is re-ordered; simplest
-                        // faithful retry is re-arming the timer and letting
-                        // the BFT layer's retransmission finish the job
-                        let _ = (conn, request_id);
-                    }
                     ctx.set_timer(
                         self.fabric
                             .domain(target)

@@ -58,16 +58,14 @@ pub enum TimerTag {
     Retransmit,
     /// Delayed (slow-fault) reply release; param = stash slot.
     DelayedSend,
-    /// Queue consumption acknowledgement flush.
-    AckFlush,
-    /// Client-side vote garbage collection / request timeout.
+    /// Singleton-client call timer, re-armed while the call is undecided
+    /// so the simulator does not quiesce under it; param = request id.
     ClientRetry,
 }
 
 const TAG_VIEW: u64 = 1;
 const TAG_RETRANSMIT: u64 = 2;
 const TAG_DELAYED: u64 = 3;
-const TAG_ACK: u64 = 4;
 const TAG_CLIENT: u64 = 5;
 
 /// Packs a tag and parameter into a timer kind.
@@ -76,7 +74,6 @@ pub fn pack_timer(tag: TimerTag, param: u64) -> u64 {
         TimerTag::View => TAG_VIEW,
         TimerTag::Retransmit => TAG_RETRANSMIT,
         TimerTag::DelayedSend => TAG_DELAYED,
-        TimerTag::AckFlush => TAG_ACK,
         TimerTag::ClientRetry => TAG_CLIENT,
     };
     (param << 3) | t
@@ -88,7 +85,6 @@ pub fn unpack_timer(kind: u64) -> Option<(TimerTag, u64)> {
         TAG_VIEW => TimerTag::View,
         TAG_RETRANSMIT => TimerTag::Retransmit,
         TAG_DELAYED => TimerTag::DelayedSend,
-        TAG_ACK => TimerTag::AckFlush,
         TAG_CLIENT => TimerTag::ClientRetry,
         _ => return None,
     };
@@ -119,7 +115,6 @@ mod tests {
             (TimerTag::View, 0u64),
             (TimerTag::Retransmit, 12345),
             (TimerTag::DelayedSend, u64::MAX >> 3),
-            (TimerTag::AckFlush, 1),
             (TimerTag::ClientRetry, 9),
         ] {
             let kind = pack_timer(tag, param);
@@ -130,6 +125,7 @@ mod tests {
     #[test]
     fn unknown_tag_rejected() {
         assert_eq!(unpack_timer(0), None);
+        assert_eq!(unpack_timer(4), None);
         assert_eq!(unpack_timer(6), None);
     }
 

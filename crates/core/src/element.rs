@@ -1252,7 +1252,7 @@ impl Process for ServerElement {
             TimerTag::Retransmit => {
                 let fabric = self.fabric.clone();
                 if let Some(outbound) = self.outbound.get_mut(&DomainId(param)) {
-                    outbound.on_retransmit_timer(ctx, &fabric);
+                    outbound.on_retransmit_timer(ctx, &fabric, timer.id);
                 }
             }
             TimerTag::DelayedSend => {
@@ -1260,7 +1260,7 @@ impl Process for ServerElement {
                     self.dispatch_send(ctx, send);
                 }
             }
-            TimerTag::AckFlush | TimerTag::ClientRetry => {}
+            TimerTag::ClientRetry => {}
         }
     }
 }

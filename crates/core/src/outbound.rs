@@ -12,6 +12,12 @@
 //! sequence numbers — while accepted results are still released to the
 //! owner strictly in submission order, so every caller keeps its FIFO
 //! view of the channel.
+//!
+//! A channel keeps at most one retransmission timer pending, however many
+//! operations it has sent: an operation started while the timer is pending
+//! rides it, so every undecided operation is rebroadcast within
+//! 2×`view_timeout` of being sent, and a back-to-back caller never stacks
+//! one rebroadcast chain per finished call.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -19,7 +25,7 @@ use itdos_bft::auth::AuthContext;
 use itdos_bft::client::Client;
 use itdos_bft::message::Message;
 use itdos_groupmgr::membership::DomainId;
-use simnet::Context;
+use simnet::{Context, TimerId};
 use xbytes::Bytes;
 
 use crate::codes::{bft_client_id, pack_timer, TimerTag};
@@ -40,6 +46,8 @@ pub struct Outbound {
     decided: BTreeMap<u64, Vec<u8>>,
     /// Results of accepted operations, oldest first (drained by the owner).
     accepted: VecDeque<Vec<u8>>,
+    /// The channel's one pending retransmission timer, if armed.
+    retransmit: Option<TimerId>,
 }
 
 impl std::fmt::Debug for Outbound {
@@ -64,6 +72,7 @@ impl Outbound {
             in_order: VecDeque::new(),
             decided: BTreeMap::new(),
             accepted: VecDeque::new(),
+            retransmit: None,
         }
     }
 
@@ -121,7 +130,7 @@ impl Outbound {
             self.broadcast(ctx, fabric, &Message::Request(request));
             started = true;
         }
-        if started {
+        if started && self.retransmit.is_none() {
             self.arm_retransmit(ctx, fabric);
         }
     }
@@ -139,10 +148,10 @@ impl Outbound {
 
     fn arm_retransmit(&mut self, ctx: &mut Context<'_>, fabric: &Fabric) {
         let timeout = fabric.domain(self.target).config.view_timeout;
-        ctx.set_timer(
+        self.retransmit = Some(ctx.set_timer(
             timeout.saturating_mul(2),
             pack_timer(TimerTag::Retransmit, self.target.0),
-        );
+        ));
     }
 
     fn broadcast(&self, ctx: &mut Context<'_>, fabric: &Fabric, message: &Message) {
@@ -184,8 +193,14 @@ impl Outbound {
         false
     }
 
-    /// Handles the retransmission timer.
-    pub fn on_retransmit_timer(&mut self, ctx: &mut Context<'_>, fabric: &Fabric) {
+    /// Handles a fired retransmission timer `id`: rebroadcasts every
+    /// undecided operation and re-arms while any remain. Any id but the
+    /// channel's one pending timer is ignored.
+    pub fn on_retransmit_timer(&mut self, ctx: &mut Context<'_>, fabric: &Fabric, id: TimerId) {
+        if self.retransmit != Some(id) {
+            return;
+        }
+        self.retransmit = None;
         let undecided = self.client.retransmit_all();
         if undecided.is_empty() {
             return;
@@ -311,7 +326,7 @@ mod tests {
                     crate::codes::unpack_timer(timer.kind)
                 {
                     let fabric = self.fabric.clone();
-                    self.outbound.on_retransmit_timer(ctx, &fabric);
+                    self.outbound.on_retransmit_timer(ctx, &fabric, timer.id);
                 }
             }
         }

@@ -4,7 +4,7 @@
 //! address" per replication domain, §3.4); clients are **not** members of
 //! the ordering group (§3.2) and unicast their requests to each replica.
 
-use simnet::{Context, GroupId, NodeId, Process, SimDuration, Timer};
+use simnet::{Context, GroupId, NodeId, Process, SimDuration, Timer, TimerId};
 use xbytes::Bytes;
 
 use crate::auth::{AuthContext, Envelope, Peer};
@@ -173,12 +173,15 @@ impl<S: StateMachine + 'static> Process for ReplicaNode<S> {
 
 /// A singleton BFT client running as a simulated process. Inject operation
 /// bytes via [`simnet::Simulator::inject`]; accepted results accumulate in
-/// [`ClientNode::results`].
+/// [`ClientNode::results`]. It keeps at most one retransmission timer
+/// pending: a request started while one is pending rides it.
 pub struct ClientNode {
     client: Client,
     auth: AuthContext,
     directory: Directory,
     retransmit_every: SimDuration,
+    /// The one pending retransmission timer, if armed.
+    retransmit: Option<TimerId>,
     /// Accepted results, in order.
     pub results: Vec<Vec<u8>>,
 }
@@ -206,6 +209,7 @@ impl ClientNode {
             auth,
             directory,
             retransmit_every,
+            retransmit: None,
             results: Vec::new(),
         }
     }
@@ -232,7 +236,9 @@ impl Process for ClientNode {
             // harness command: start a request with these operation bytes
             if let Some(request) = self.client.start_request(payload.to_vec()) {
                 self.broadcast_request(ctx, &request);
-                ctx.set_timer(self.retransmit_every, 0);
+                if self.retransmit.is_none() {
+                    self.retransmit = Some(ctx.set_timer(self.retransmit_every, 0));
+                }
             }
             return;
         }
@@ -250,10 +256,14 @@ impl Process for ClientNode {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _timer: Timer) {
+    fn on_timer(&mut self, ctx: &mut Context<'_>, timer: Timer) {
+        if self.retransmit != Some(timer.id) {
+            return;
+        }
+        self.retransmit = None;
         if let Some(request) = self.client.retransmit() {
             self.broadcast_request(ctx, &request);
-            ctx.set_timer(self.retransmit_every, 0);
+            self.retransmit = Some(ctx.set_timer(self.retransmit_every, 0));
         }
     }
 }
@@ -359,6 +369,21 @@ mod tests {
             assert_eq!(counter_total(&sim, r), 10);
         }
         assert_eq!(sim.process_ref::<ClientNode>(client).results.len(), 5);
+    }
+
+    #[test]
+    fn back_to_back_requests_share_one_retransmit_timer() {
+        // start each request as soon as the previous one is decided, as a
+        // closed-loop caller does: no idle gap lets earlier timers drain
+        let (mut sim, _, client) = setup(6);
+        for done in 1..=20 {
+            sim.inject(client, Bytes::from(CounterMachine::op(1)));
+            while sim.process_ref::<ClientNode>(client).results.len() < done {
+                assert!(sim.step(), "request {done} decided before quiescence");
+            }
+            let timers = sim.pending_by_node().get(&client).map_or(0, |p| p.1);
+            assert!(timers <= 1, "{timers} timers pending after {done} requests");
+        }
     }
 
     #[test]

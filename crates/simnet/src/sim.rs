@@ -36,7 +36,9 @@ struct NodeSlot {
     process: Box<dyn Process>,
     rng: SmallRng,
     next_timer: u64,
-    cancelled: BTreeSet<TimerId>,
+    /// Timers set and neither fired nor cancelled; a fire whose id is
+    /// missing here was cancelled and is skipped.
+    armed: BTreeSet<TimerId>,
     started: bool,
 }
 
@@ -143,7 +145,7 @@ impl Simulator {
             process: build(id),
             rng: SmallRng::seed_from_u64(seed),
             next_timer: 0,
-            cancelled: BTreeSet::new(),
+            armed: BTreeSet::new(),
             started: false,
         });
         id
@@ -372,7 +374,7 @@ impl Simulator {
             }
             EventKind::TimerFire { node, timer } => {
                 let slot = &mut self.nodes[node.as_raw() as usize];
-                if slot.cancelled.remove(&timer.id) {
+                if !slot.armed.remove(&timer.id) {
                     return true;
                 }
                 let mut actions = Vec::new();
@@ -454,6 +456,7 @@ impl Simulator {
                     }
                 }
                 Action::SetTimer { id, delay, kind } => {
+                    self.nodes[node.as_raw() as usize].armed.insert(id);
                     let fire_at = self.now + delay;
                     self.schedule(
                         fire_at,
@@ -464,7 +467,7 @@ impl Simulator {
                     );
                 }
                 Action::CancelTimer(id) => {
-                    self.nodes[node.as_raw() as usize].cancelled.insert(id);
+                    self.nodes[node.as_raw() as usize].armed.remove(&id);
                 }
                 Action::Join(group) => self.join_group(node, group),
                 Action::Leave(group) => self.leave_group(node, group),
@@ -675,6 +678,32 @@ mod tests {
         let n = sim.add_process(Box::new(Timed { fired: Vec::new() }));
         sim.run();
         assert_eq!(sim.process_ref::<Timed>(n).fired, vec![10]);
+    }
+
+    #[test]
+    fn cancelling_fired_or_unknown_timer_keeps_no_state() {
+        struct Canceller {
+            fired: u32,
+        }
+        impl Process for Canceller {
+            fn on_start(&mut self, ctx: &mut Context<'_>) {
+                ctx.set_timer(SimDuration::from_millis(1), 0);
+            }
+            fn on_message(&mut self, _ctx: &mut Context<'_>, _from: NodeId, _payload: Bytes) {}
+            fn on_timer(&mut self, ctx: &mut Context<'_>, timer: Timer) {
+                self.fired += 1;
+                ctx.cancel_timer(timer.id); // already fired
+                ctx.cancel_timer(TimerId(u64::MAX)); // never set
+                if self.fired < 3 {
+                    ctx.set_timer(SimDuration::from_millis(1), 0);
+                }
+            }
+        }
+        let mut sim = Simulator::new(12);
+        let n = sim.add_process(Box::new(Canceller { fired: 0 }));
+        sim.run();
+        assert_eq!(sim.process_ref::<Canceller>(n).fired, 3);
+        assert!(sim.nodes[n.as_raw() as usize].armed.is_empty());
     }
 
     #[test]

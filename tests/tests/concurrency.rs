@@ -224,3 +224,43 @@ fn batched_and_unbatched_agree_on_final_state() {
     assert_eq!(run(true), expected);
     assert_eq!(run(false), expected);
 }
+
+/// A closed-loop client sends each call as soon as the previous one is
+/// decided and never settles in between. Its traffic per call must stay
+/// flat over the run: the channel keeps one retransmission timer, not one
+/// rebroadcast chain per finished call.
+#[test]
+fn back_to_back_calls_keep_traffic_per_call_flat() {
+    const CALLS: usize = 400;
+    const WINDOW: usize = 40;
+    let mut builder = SystemBuilder::new(206);
+    builder.repository(repo());
+    builder.add_domain(
+        BANK,
+        1,
+        Box::new(|_| vec![(ObjectKey::from_name("acct"), bank_servant())]),
+    );
+    builder.add_client(1);
+    let mut system = builder.build();
+    // the cold call opens the connection; the loop starts from its settle
+    assert_eq!(system.invoke(1, deposit(1)).result, Ok(Value::LongLong(1)));
+
+    let mut msgs_at_decision = vec![system.sim.stats().total.messages];
+    for i in 0..CALLS {
+        system.invoke_async(1, deposit(1));
+        let done = system.client(1).completed.len();
+        while system.client(1).completed.len() == done {
+            assert!(system.sim.step(), "call {i} decided before quiescence");
+        }
+        msgs_at_decision.push(system.sim.stats().total.messages);
+    }
+    let balance = &system.client(1).completed.last().expect("decided").result;
+    assert_eq!(*balance, Ok(Value::LongLong(1 + CALLS as i64)));
+
+    let first = msgs_at_decision[WINDOW] - msgs_at_decision[0];
+    let last = msgs_at_decision[CALLS] - msgs_at_decision[CALLS - WINDOW];
+    assert!(
+        last as f64 <= 1.1 * first as f64,
+        "messages over the last {WINDOW} calls ({last}) exceed 1.1x the first {WINDOW} ({first})"
+    );
+}
